@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 
 class SimulationError(RuntimeError):
@@ -60,17 +62,23 @@ class StallReason(enum.Enum):
     OTHER = "other"
 
 
-_LEVEL_TO_REASON = {
-    "l1": StallReason.MEM_L1,
-    "l2": StallReason.MEM_L2,
-    "dram": StallReason.MEM_DRAM,
-    "alu": StallReason.OTHER,
+# Stall counters are a list indexed by declaration order, so the core run
+# loops add to a slot by small int instead of hashing enum members.
+STALL_REASONS: tuple[StallReason, ...] = tuple(StallReason)
+STALL_INDEX: dict[StallReason, int] = {
+    r: i for i, r in enumerate(STALL_REASONS)}
+STALL_OTHER = STALL_INDEX[StallReason.OTHER]
+STALL_BRANCH = STALL_INDEX[StallReason.BRANCH]
+
+
+# Producing memory level / unit -> stall slot (AccessOutcome.level values
+# plus "alu" for results of the execution units).
+LEVEL_STALL_INDEX: dict[str, int] = {
+    "l1": STALL_INDEX[StallReason.MEM_L1],
+    "l2": STALL_INDEX[StallReason.MEM_L2],
+    "dram": STALL_INDEX[StallReason.MEM_DRAM],
+    "alu": STALL_OTHER,
 }
-
-
-def stall_reason_for_level(level: str) -> StallReason:
-    """Map a producing memory level / unit to its CPI-stack bucket."""
-    return _LEVEL_TO_REASON.get(level, StallReason.OTHER)
 
 
 @dataclass
@@ -108,8 +116,14 @@ class CoreStats:
     halted: bool = False
     start_cycle: float = 0.0
     end_cycle: float = 0.0
-    stall_cycles: dict[StallReason, float] = field(
-        default_factory=lambda: {r: 0.0 for r in StallReason})
+    # Stall cycles per StallReason, in STALL_REASONS order.
+    stalls: list[float] = field(
+        default_factory=lambda: [0.0] * len(STALL_REASONS))
+
+    @property
+    def stall_cycles(self) -> Mapping[StallReason, float]:
+        """Read-only ``{StallReason: cycles}`` view of :attr:`stalls`."""
+        return MappingProxyType(dict(zip(STALL_REASONS, self.stalls)))
 
     @property
     def cycles(self) -> float:
@@ -123,16 +137,12 @@ class CoreStats:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    def add_stall(self, reason: StallReason, cycles: float) -> None:
-        if cycles > 0:
-            self.stall_cycles[reason] += cycles
-
     def cpi_stack(self) -> dict[str, float]:
         """CPI contributions per bucket; 'base' is the residual issue CPI."""
         if not self.instructions:
             return {r.value: 0.0 for r in StallReason}
         stack = {r.value: c / self.instructions
-                 for r, c in self.stall_cycles.items()}
+                 for r, c in zip(STALL_REASONS, self.stalls)}
         attributed = sum(stack.values()) - stack[StallReason.BASE.value]
         stack[StallReason.BASE.value] = max(0.0, self.cpi - attributed)
         return stack
@@ -140,8 +150,8 @@ class CoreStats:
 
 def check_watchdog(core) -> None:
     """Raise :class:`SimulationError` when *core* has blown past its
-    configured watchdog fence (called once per committed instruction from
-    the run loop of both cores).  Emits a ``core.watchdog`` probe event
+    configured watchdog fence (called from the run loop of both cores
+    once a ceiling is exceeded).  Emits a ``core.watchdog`` probe event
     before raising so observability layers can count trips."""
     cfg = core.config
     tripped = None

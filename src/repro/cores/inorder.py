@@ -14,23 +14,31 @@ SVR attaches through the ``svr`` hook object (see
 
 from __future__ import annotations
 
-from collections import deque
+import math
 
 import numpy as np
 
 from repro.branch.predictor import HybridBranchPredictor
 from repro.cores.base import (
+    LEVEL_STALL_INDEX,
+    STALL_BRANCH,
+    STALL_OTHER,
     CoreConfig,
     CoreStats,
     IssueSlots,
-    StallReason,
     check_watchdog,
-    stall_reason_for_level,
 )
-from repro.isa.executor import execute
-from repro.isa.instructions import OpClass
-from repro.isa.registers import NUM_REGS, RegisterFile
+# ``execute`` is unused here but stays importable: perfbench's layer tracer
+# wraps ``repro.cores.inorder.execute``.
+from repro.isa.executor import _ALU_BY_INDEX, ExecResult, execute  # noqa: F401
+from repro.isa.instructions import Opcode, OpClass
+from repro.isa.registers import _MASK64, NUM_REGS, RegisterFile
 from repro.obs.probes import default_bus
+
+_LOAD, _STORE, _BRANCH, _JUMP, _HALT, _NOP, _FP = (
+    OpClass.LOAD, OpClass.STORE, OpClass.BRANCH, OpClass.JUMP, OpClass.HALT,
+    OpClass.NOP, OpClass.FP)
+_INF = float("inf")
 
 
 class InOrderCore:
@@ -56,7 +64,10 @@ class InOrderCore:
         self.lifetime_instructions = 0   # across windows, for the watchdog
         self._ready = [0.0] * NUM_REGS
         self._producer = ["alu"] * NUM_REGS
-        self._inflight: deque[float] = deque()
+        # Scoreboard ring: slot i % entries holds instruction i's
+        # completion, so instruction i reads i - entries' (or -inf).
+        self._inflight = [-_INF] * self.config.scoreboard_entries
+        self._inflight_pos = 0
         self._frontend_ready = 0.0
         self.svr = svr
         if svr is not None:
@@ -106,133 +117,230 @@ class InOrderCore:
 
     # -- main loop ------------------------------------------------------------
 
-    def _exec_latency(self, inst) -> float:
-        cfg = self.config
-        if inst.is_multiply:
-            return cfg.mul_latency
-        if inst.opclass is OpClass.FP:
-            return cfg.fp_latency
-        return cfg.alu_latency
-
     def step(self) -> bool:
         """Issue and execute one instruction; returns False once halted."""
-        if self.halted or self.pc >= len(self.program):
-            self.halted = True
-            return False
-        inst = self.program[self.pc]
-        cfg = self.config
-        stats = self.stats
-
-        # Baseline for stall accounting: when this instruction could issue
-        # absent hazards (frontend redirect or issue-bandwidth limit).
-        earliest = max(self._frontend_ready, float(self.slots.current_cycle))
-        # Scoreboard: instruction i waits for completion of i - entries.
-        if len(self._inflight) >= cfg.scoreboard_entries:
-            release = self._inflight.popleft()
-            if release > earliest:
-                stats.add_stall(StallReason.OTHER, release - earliest)
-                earliest = release
-        # Stall-on-use: wait for source operands.
-        src_ready = earliest
-        src_level = None
-        ready_table = self._ready
-        for reg in inst.srcs:
-            ready = ready_table[reg]
-            if ready > src_ready:
-                src_ready = ready
-                src_level = self._producer[reg]
-        if src_ready > earliest:
-            stats.add_stall(stall_reason_for_level(src_level or "alu"),
-                            src_ready - earliest)
-            earliest = src_ready
-
-        issue = self.slots.allocate(earliest)
-        result = execute(inst, self.pc, self.regs.read, self.memory)
-
-        completion = issue + 1.0
-        outcome = None
-        opclass = inst.opclass
-        if opclass is OpClass.LOAD:
-            outcome = self.hierarchy.load(result.address, issue, self.pc)
-            completion = outcome.completion
-            self.regs.write(inst.rd, result.value)
-            self._ready[inst.rd] = completion
-            self._producer[inst.rd] = outcome.level
-            stats.loads += 1
-        elif opclass is OpClass.STORE:
-            outcome = self.hierarchy.store(result.address, issue, self.pc)
-            completion = outcome.completion
-            stats.stores += 1
-        elif opclass is OpClass.BRANCH:
-            correct = self.predictor.predict_and_update(self.pc, result.taken)
-            if not correct:
-                stats.mispredicts += 1
-                stats.add_stall(StallReason.BRANCH, cfg.mispredict_penalty)
-                self._frontend_ready = issue + 1.0 + cfg.mispredict_penalty
-            stats.branches += 1
-        elif opclass is OpClass.HALT:
-            self.halted = True
-            stats.halted = True
-        elif opclass in (OpClass.ALU, OpClass.FP, OpClass.CMP):
-            latency = self._exec_latency(inst)
-            completion = issue + latency
-            self.regs.write(inst.rd, result.value)
-            self._ready[inst.rd] = completion
-            self._producer[inst.rd] = "alu"
-            if opclass is OpClass.FP:
-                stats.fp_ops += 1
-            else:
-                stats.alu_ops += 1
-        # JUMP / NOP need no special handling beyond control flow.
-
-        self._inflight.append(completion)
-        stats.instructions += 1
-        if completion > stats.end_cycle:
-            stats.end_cycle = completion
-        if issue + 1.0 > stats.end_cycle:
-            stats.end_cycle = issue + 1.0
-
-        if self.svr is not None and not self.halted:
-            self.svr.after_issue(self.pc, inst, issue, result, outcome)
-        if self._p_commit.enabled:
-            self._p_commit.emit(
-                pc=self.pc, op=inst.op.value, opclass=opclass.name,
-                issue=issue, completion=completion,
-                level=outcome.level if outcome is not None else None)
-        if self.trace is not None:
-            self.trace(self.pc, inst, issue, completion, outcome)
-
-        self.pc = result.next_pc
+        self.run(1)
         return not self.halted
 
     def run(self, max_instructions: int, progress=None) -> CoreStats:
         """Run until HALT or *max_instructions* committed in this window.
 
-        Raises :class:`~repro.cores.base.SimulationError` if the watchdog
-        fence (``CoreConfig.watchdog_max_cycles`` / ``_max_instructions``)
-        is exceeded.  Pass a :class:`repro.obs.ProgressReporter` as
-        *progress* to emit in-flight frames; the default ``None`` path is
-        the original loop, untouched.
+        This is the core's one per-instruction body (:meth:`step` runs it
+        with a budget of one).  Raises
+        :class:`~repro.cores.base.SimulationError` if the watchdog fence
+        (``CoreConfig.watchdog_max_cycles`` / ``_max_instructions``) is
+        exceeded.  Pass a :class:`repro.obs.ProgressReporter` as
+        *progress* to emit a frame every ``progress.interval``
+        instructions.
+
+        Loop-invariant state is hoisted to locals.  State that the SVR
+        unit's callbacks mutate (``_frontend_ready``, the issue slots,
+        ``stats.end_cycle``) is read from its owner on every instruction,
+        and ``self.pc`` / ``self.lifetime_instructions`` are written back
+        before any callback, hook or watchdog trip can observe them.
         """
-        executed = 0
         cfg = self.config
-        fenced = (cfg.watchdog_max_cycles is not None
-                  or cfg.watchdog_max_instructions is not None)
-        if progress is not None:
-            countdown = progress.interval
-            while executed < max_instructions and self.step():
+        stats = self.stats
+        stalls = stats.stalls
+        program = self.program.instructions
+        n_insts = len(program)
+        regs = self.regs.values
+        ready = self._ready
+        producer = self._producer
+        inflight = self._inflight
+        entries = len(inflight)
+        slots = self.slots
+        width = slots.width
+        load = self.hierarchy.load
+        store = self.hierarchy.store
+        read_word = self.memory.read_word
+        write_word = self.memory.write_word
+        predict = self.predictor.predict_and_update
+        alu_by_index = _ALU_BY_INDEX
+        level_stall = LEVEL_STALL_INDEX
+        floor = math.floor
+        alu_lat, mul_lat, fp_lat = (cfg.alu_latency, cfg.mul_latency,
+                                    cfg.fp_latency)
+        penalty = cfg.mispredict_penalty
+        max_cycles = (_INF if cfg.watchdog_max_cycles is None
+                      else cfg.watchdog_max_cycles)
+        max_lifetime = (_INF if cfg.watchdog_max_instructions is None
+                        else cfg.watchdog_max_instructions)
+        svr = self.svr
+        trace = self.trace
+        p_commit = self._p_commit
+        beqz = Opcode.BEQZ
+        # Instructions until the next progress frame; without a reporter
+        # the countdown cannot reach zero inside this window.
+        countdown = (progress.interval if progress is not None
+                     else max_instructions + 1)
+
+        pc = self.pc
+        pos = self._inflight_pos
+        lifetime = self.lifetime_instructions
+        executed = 0
+        if self.halted:
+            return stats
+        try:
+            while executed < max_instructions:
+                if pc >= n_insts:
+                    self.halted = True
+                    break
+                inst = program[pc]
+
+                # Baseline for stall accounting: when this instruction could
+                # issue absent hazards (frontend redirect or issue-bandwidth
+                # limit).
+                cycle = slots._cycle
+                earliest = float(cycle)
+                frontend = self._frontend_ready
+                if frontend > earliest:
+                    earliest = frontend
+                # Scoreboard: instruction i waits for completion of
+                # i - entries.
+                release = inflight[pos]
+                if release > earliest:
+                    stalls[STALL_OTHER] += release - earliest
+                    earliest = release
+                # Stall-on-use: wait for source operands.
+                src_ready = earliest
+                src_level = None
+                for reg in inst.srcs:
+                    r = ready[reg]
+                    if r > src_ready:
+                        src_ready = r
+                        src_level = producer[reg]
+                if src_ready > earliest:
+                    stalls[level_stall[src_level]] += src_ready - earliest
+                    earliest = src_ready
+
+                # IssueSlots.allocate, inlined (earliest >= the slot cycle
+                # here, and earliest >= cycle + 1 iff floor(earliest) > cycle).
+                if earliest >= cycle + 1:
+                    slots._cycle = floor(earliest)
+                    slots._used = 1
+                    issue = earliest
+                elif slots._used < width:
+                    slots._used += 1
+                    issue = earliest
+                else:
+                    slots._cycle = cycle + 1
+                    slots._used = 1
+                    issue = float(cycle + 1)
+
+                # Execute: the same semantics as repro.isa.executor.execute.
+                opclass = inst.opclass
+                next_pc = pc + 1
+                completion = issue + 1.0
+                outcome = None
+                if opclass is _LOAD:
+                    addr = (regs[inst.rs1] + inst.imm) & _MASK64
+                    value = read_word(addr)
+                    outcome = load(addr, issue, pc)
+                    completion = outcome.completion
+                    rd = inst.rd
+                    if rd:
+                        regs[rd] = value
+                    ready[rd] = completion
+                    producer[rd] = outcome.level
+                    stats.loads += 1
+                elif opclass is _STORE:
+                    addr = (regs[inst.rs1] + inst.imm) & _MASK64
+                    value = regs[inst.rs2]
+                    write_word(addr, value)
+                    outcome = store(addr, issue, pc)
+                    completion = outcome.completion
+                    stats.stores += 1
+                elif opclass is _BRANCH:
+                    a = regs[inst.rs1]
+                    taken = (a == 0) if inst.op is beqz else (a != 0)
+                    if taken:
+                        next_pc = inst.target
+                    if not predict(pc, taken):
+                        stats.mispredicts += 1
+                        if penalty > 0:
+                            stalls[STALL_BRANCH] += penalty
+                        self._frontend_ready = issue + 1.0 + penalty
+                    stats.branches += 1
+                elif opclass is _JUMP:
+                    next_pc = inst.target
+                elif opclass is _HALT:
+                    next_pc = pc
+                    self.halted = True
+                    stats.halted = True
+                elif opclass is not _NOP:           # ALU / FP / CMP
+                    rs1, rs2 = inst.rs1, inst.rs2
+                    a = regs[rs1] if rs1 is not None else 0
+                    b = regs[rs2] if rs2 is not None else 0
+                    value = alu_by_index[inst.opindex](a, b, inst.imm)
+                    if opclass is _FP:
+                        completion = issue + fp_lat
+                        stats.fp_ops += 1
+                    else:
+                        completion = issue + (mul_lat if inst.is_multiply
+                                              else alu_lat)
+                        stats.alu_ops += 1
+                    rd = inst.rd
+                    if rd:
+                        regs[rd] = value
+                    ready[rd] = completion
+                    producer[rd] = "alu"
+
+                inflight[pos] = completion
+                pos += 1
+                if pos == entries:
+                    pos = 0
+                stats.instructions += 1
+                end = stats.end_cycle
+                if completion > end:
+                    stats.end_cycle = end = completion
+                if issue + 1.0 > end:
+                    stats.end_cycle = issue + 1.0
+
+                if svr is not None and opclass is not _HALT:
+                    # The SVR unit reads the operands and outcome as
+                    # execute() reports them; only it needs an ExecResult.
+                    if opclass is _LOAD or opclass is _STORE:
+                        result = ExecResult(value, addr, None, next_pc)
+                    elif opclass is _BRANCH:
+                        result = ExecResult(None, None, taken, next_pc,
+                                            False, a)
+                    elif opclass is _JUMP:
+                        result = ExecResult(None, None, True, next_pc)
+                    elif opclass is _NOP:
+                        result = ExecResult(next_pc=next_pc)
+                    else:
+                        result = ExecResult(value, None, None, next_pc,
+                                            False, a, b)
+                    self.pc = pc
+                    svr.after_issue(pc, inst, issue, result, outcome)
+                if p_commit.enabled:
+                    self.pc = pc
+                    p_commit.emit(
+                        pc=pc, op=inst.op.value, opclass=opclass.name,
+                        issue=issue, completion=completion,
+                        level=outcome.level if outcome is not None else None)
+                if trace is not None:
+                    self.pc = pc
+                    trace(pc, inst, issue, completion, outcome)
+
+                pc = next_pc
+                if opclass is _HALT:
+                    break
                 executed += 1
-                self.lifetime_instructions += 1
-                if fenced:
+                lifetime += 1
+                if stats.end_cycle > max_cycles or lifetime > max_lifetime:
+                    self.pc = pc
+                    self.lifetime_instructions = lifetime
                     check_watchdog(self)
                 countdown -= 1
-                if countdown <= 0:
+                if not countdown:
                     countdown = progress.interval
+                    self.pc = pc
+                    self.lifetime_instructions = lifetime
                     progress.sample(self)
-            return self.stats
-        while executed < max_instructions and self.step():
-            executed += 1
-            self.lifetime_instructions += 1
-            if fenced:
-                check_watchdog(self)
-        return self.stats
+        finally:
+            self.pc = pc
+            self.lifetime_instructions = lifetime
+            self._inflight_pos = pos
+        return stats

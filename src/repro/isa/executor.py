@@ -44,38 +44,44 @@ class ExecResult:
 
 
 # One evaluator per ALU/FP/CMP opcode, indexed by ``Instruction.opindex``.
-# The hot paths (committed execution and SVR's per-lane transient execution)
-# fetch the callable with one list index instead of walking an if-chain and
-# hashing enum members.
+# The hot paths (the timing cores' run loops and SVR's per-lane transient
+# execution) fetch the callable with one list index instead of walking an
+# if-chain and hashing enum members.  The common ops mask with ``_MASK64``
+# inline rather than calling :func:`wrap64`, and the signed compares flip
+# the sign bit of the wrapped operands (an order-preserving map onto
+# unsigned order) rather than calling :func:`to_signed64` twice.
+_SIGN64 = 1 << 63
 _ALU_TABLE: dict[Opcode, Callable[[int, int, int], int]] = {
-    Opcode.ADD: lambda a, b, imm: wrap64(a + b),
-    Opcode.SUB: lambda a, b, imm: wrap64(a - b),
-    Opcode.MUL: lambda a, b, imm: wrap64(a * b),
+    Opcode.ADD: lambda a, b, imm: (a + b) & _MASK64,
+    Opcode.SUB: lambda a, b, imm: (a - b) & _MASK64,
+    Opcode.MUL: lambda a, b, imm: (a * b) & _MASK64,
     Opcode.AND: lambda a, b, imm: a & b,
     Opcode.OR: lambda a, b, imm: a | b,
     Opcode.XOR: lambda a, b, imm: a ^ b,
-    Opcode.SLL: lambda a, b, imm: wrap64(a << (b & 63)),
+    Opcode.SLL: lambda a, b, imm: (a << (b & 63)) & _MASK64,
     Opcode.SRL: lambda a, b, imm: a >> (b & 63),
     Opcode.MIN: lambda a, b, imm: wrap64(min(to_signed64(a), to_signed64(b))),
     Opcode.MAX: lambda a, b, imm: wrap64(max(to_signed64(a), to_signed64(b))),
-    Opcode.ADDI: lambda a, b, imm: wrap64(a + imm),
-    Opcode.ANDI: lambda a, b, imm: a & wrap64(imm),
-    Opcode.ORI: lambda a, b, imm: a | wrap64(imm),
-    Opcode.XORI: lambda a, b, imm: a ^ wrap64(imm),
-    Opcode.SLLI: lambda a, b, imm: wrap64(a << (imm & 63)),
+    Opcode.ADDI: lambda a, b, imm: (a + imm) & _MASK64,
+    Opcode.ANDI: lambda a, b, imm: a & imm & _MASK64,
+    Opcode.ORI: lambda a, b, imm: a | (imm & _MASK64),
+    Opcode.XORI: lambda a, b, imm: a ^ (imm & _MASK64),
+    Opcode.SLLI: lambda a, b, imm: (a << (imm & 63)) & _MASK64,
     Opcode.SRLI: lambda a, b, imm: a >> (imm & 63),
-    Opcode.MULI: lambda a, b, imm: wrap64(a * imm),
-    Opcode.LI: lambda a, b, imm: wrap64(imm),
+    Opcode.MULI: lambda a, b, imm: (a * imm) & _MASK64,
+    Opcode.LI: lambda a, b, imm: imm & _MASK64,
     Opcode.MV: lambda a, b, imm: a,
-    Opcode.FADD: lambda a, b, imm: wrap64(a + b),
+    Opcode.FADD: lambda a, b, imm: (a + b) & _MASK64,
     # Q32.16 fixed-point multiply.
     Opcode.FMUL: lambda a, b, imm: wrap64(
         (to_signed64(a) * to_signed64(b)) >> FP_SHIFT),
-    Opcode.CMP_LT: lambda a, b, imm: 1 if to_signed64(a) < to_signed64(b) else 0,
+    Opcode.CMP_LT: lambda a, b, imm: (
+        1 if (a & _MASK64) ^ _SIGN64 < (b & _MASK64) ^ _SIGN64 else 0),
     Opcode.CMP_LTU: lambda a, b, imm: 1 if a < b else 0,
     Opcode.CMP_EQ: lambda a, b, imm: 1 if a == b else 0,
     Opcode.CMP_NE: lambda a, b, imm: 1 if a != b else 0,
-    Opcode.CMP_GE: lambda a, b, imm: 1 if to_signed64(a) >= to_signed64(b) else 0,
+    Opcode.CMP_GE: lambda a, b, imm: (
+        1 if (a & _MASK64) ^ _SIGN64 >= (b & _MASK64) ^ _SIGN64 else 0),
 }
 
 _ALU_BY_INDEX: list[Callable[[int, int, int], int] | None] = [

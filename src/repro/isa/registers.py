@@ -61,11 +61,21 @@ class RegisterFile:
         if index != 0:
             self._regs[index] = value & _MASK64
 
+    @property
+    def values(self) -> list[int]:
+        """The live register list, for run loops that index it directly.
+
+        Its identity never changes (:meth:`load` fills it in place).  A
+        direct writer must skip ``x0`` and store 64-bit values, as
+        :meth:`write` does.
+        """
+        return self._regs
+
     def snapshot(self) -> list[int]:
         return list(self._regs)
 
     def load(self, values: list[int]) -> None:
         if len(values) != NUM_REGS:
             raise ValueError("snapshot must have exactly 32 registers")
-        self._regs = [v & _MASK64 for v in values]
+        self._regs[:] = [v & _MASK64 for v in values]
         self._regs[0] = 0

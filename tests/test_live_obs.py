@@ -165,6 +165,26 @@ class TestCoreProgress:
         assert frames[0].workload == "PR_KR"
         assert result.ipc > 0
 
+    @pytest.mark.parametrize("make", ["make_inorder", "make_ooo"])
+    def test_frames_every_interval_instructions(self, gather, make):
+        """One frame per ``interval`` committed instructions; the
+        countdown restarts with each ``run()`` call (warmup, measure)."""
+        import conftest
+
+        program, memory = gather
+        core = getattr(conftest, make)(program, memory)[0]
+        frames = []
+        reporter = ProgressReporter(frames.append, interval=7,
+                                    min_interval_s=0.0)
+        core.run(100, reporter)
+        assert [f.instructions for f in frames] == list(range(7, 100, 7))
+        del frames[:]
+        core.run(30, reporter)
+        assert [f.instructions for f in frames] == list(range(107, 130, 7))
+        # Each frame reports the pc of the next instruction to run.
+        assert frames[-1].pc is not None
+        assert core.lifetime_instructions == 130
+
     def test_disabled_progress_changes_nothing(self):
         baseline = self._run("svr16")
         with_progress = self._run(

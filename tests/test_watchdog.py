@@ -79,3 +79,27 @@ class TestRunnerIntegration:
         ctx = exc.context()
         assert ctx == {"cycle": 5.0, "pc": 3, "workload": "w",
                        "technique": "t"}
+
+
+class TestPinnedTripPoints:
+    """The run loops compare against the ceilings inline; the trip must
+    land on the same instruction, with the same context, as the original
+    once-per-instruction ``check_watchdog`` call did."""
+
+    @pytest.mark.parametrize("tech_name,fence,cycle,pc,instructions", [
+        ("inorder", {"watchdog_max_cycles": 3000.0}, 3087.0, 21, 306),
+        ("inorder", {"watchdog_max_instructions": 2000}, 12081.0, 15, 2001),
+        ("svr16", {"watchdog_max_cycles": 3000.0}, 3001.0, 17, 864),
+        ("ooo", {"watchdog_max_cycles": 3000.0}, 3090.0, 21, 968),
+        ("ooo", {"watchdog_max_instructions": 2000}, 5153.0, 15, 2001),
+        ("vr", {"watchdog_max_cycles": 3000.0}, 3076.0, 21, 2774),
+    ])
+    def test_trip_context_is_pinned(self, tech_name, fence, cycle, pc,
+                                    instructions):
+        tech = technique(tech_name)
+        tech = replace(tech, core_config=replace(tech.core_config, **fence))
+        with pytest.raises(SimulationError) as excinfo:
+            run("PR_KR", tech, scale="tiny")
+        exc = excinfo.value
+        assert (exc.cycle, exc.pc, exc.instructions) == \
+            (cycle, pc, instructions)

@@ -66,3 +66,30 @@ class TestExecution:
         core4 = FunctionalCore(four.program, four.memory)
         core4.run(40_000_000)
         assert core4.instructions > 3 * core1.instructions
+
+
+class TestSeeding:
+    def test_inputs_do_not_depend_on_the_hash_seed(self):
+        """A surrogate's data is seeded from its name with a stable hash,
+        so processes with different ``PYTHONHASHSEED`` build the same
+        memory image."""
+        import hashlib
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = ("import hashlib; from repro.workloads.spec import build_spec; "
+                "w = build_spec('mcf'); "
+                "print(hashlib.sha256(w.memory.words.tobytes()).hexdigest())")
+        digests = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-c", code], env=env,
+                                  check=True, capture_output=True, text=True)
+            digests.add(done.stdout.strip())
+        here = hashlib.sha256(build_spec("mcf").memory.words.tobytes())
+        assert digests == {here.hexdigest()}
