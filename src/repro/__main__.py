@@ -663,6 +663,7 @@ def _cmd_bench(args) -> int:
         load_artifact,
         render_comparison,
         run_benchmarks,
+        select_benchmarks,
         write_artifact,
     )
 
@@ -690,8 +691,10 @@ def _cmd_bench(args) -> int:
                   file=sys.stderr)
         else:
             baseline = load_artifact(baseline_path)
+            selected = [b.name for b in select_benchmarks(config.only)]
             deltas = compare(summary, baseline,
-                             rel_tolerance=args.threshold)
+                             rel_tolerance=args.threshold,
+                             selected=selected)
             note = environment_mismatch(summary, baseline)
 
     if args.json:

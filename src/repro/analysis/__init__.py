@@ -80,7 +80,6 @@ from repro.analysis.vectorplan import (
     PlanReason,
     VectorizationPlan,
     build_plan,
-    plan_for_program,
 )
 from repro.svr.chain import LoadClass
 
@@ -119,7 +118,6 @@ __all__ = [
     "Violation",
     "build_cfg",
     "build_plan",
-    "plan_for_program",
     "chains_for_program",
     "collect_trace",
     "dead_definitions",

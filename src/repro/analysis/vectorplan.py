@@ -1,8 +1,10 @@
 """Vectorization-legality plans for SVR lane batching.
 
-The ROADMAP's structure-of-arrays executor wants to run all SVR lanes as
-batched vector operations.  That is only sound where lanes (= consecutive
-loop iterations) cannot communicate.  :func:`build_plan` turns the
+Running all SVR lanes of a round as one batched vector operation is
+only sound where lanes (= consecutive loop iterations) cannot
+communicate.  The plan is an analysis output: the simulator always runs
+lanes one scalar copy at a time, and the plan states which loops a
+batched executor could legally vectorize.  :func:`build_plan` turns the
 dependence facts of :mod:`repro.analysis.memdep` plus the taint chains of
 :mod:`repro.analysis.taint` into one verdict per natural loop:
 
@@ -110,28 +112,6 @@ class LoopPlan:
             "accesses": [a.to_dict() for a in self.deps.accesses],
             "edges": [e.to_dict() for e in self.deps.edges],
         }
-
-    @property
-    def batchable(self) -> bool:
-        """True when SVR may run this loop's rounds on the SoA fast path."""
-        return self.verdict in (BATCHABLE, BATCHABLE_WITH_GUARD)
-
-    def guard_pcs(self, *kinds: str) -> frozenset[int]:
-        """All pcs covered by guards of the given kinds (all when empty)."""
-        return frozenset(
-            pc for g in self.guards if not kinds or g.kind in kinds
-            for pc in g.pcs)
-
-    @property
-    def scalar_fallback_pcs(self) -> frozenset[int]:
-        """PCs a batched round must route through the per-lane loop.
-
-        ``transient-store`` and ``may-alias`` guards fire per instruction:
-        the flagged stores/loads take the existing scalar path while the
-        rest of the round stays batched.  ``lane-mask`` guards are *not*
-        here — vectorized divergence masking is their implementation.
-        """
-        return self.guard_pcs("transient-store", "may-alias")
 
     @property
     def summary(self) -> tuple[int, str, tuple[str, ...], tuple[str, ...]]:
@@ -313,31 +293,3 @@ def build_plan(program: Program, name: str | None = None,
     return VectorizationPlan(name=name or program.name,
                              vector_length=vector_length,
                              loops=tuple(plans))
-
-
-# Cache attribute stashed on Program objects by plan_for_program: plans
-# are pure functions of the instruction list, so tying the cache to the
-# program's lifetime is both correct and leak-free.
-_PLAN_CACHE_ATTR = "_vectorplan_cache"
-
-
-def plan_for_program(program: Program,
-                     vector_length: int = 16) -> VectorizationPlan:
-    """The (cached) :class:`VectorizationPlan` for *program*.
-
-    The first call per ``(program, vector_length)`` runs the full CFG /
-    dependence / taint analysis; repeat lookups — one per PRM round in
-    the SVR unit's plan-keyed dispatch — are a dict hit.  The cache lives
-    on the program object itself, so rebuilt workloads (new Program) are
-    re-analysed and mutated programs cannot serve stale plans.
-    """
-    cache: dict[int, VectorizationPlan] | None = getattr(
-        program, _PLAN_CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(program, _PLAN_CACHE_ATTR, cache)
-    plan = cache.get(vector_length)
-    if plan is None:
-        plan = build_plan(program, vector_length=vector_length)
-        cache[vector_length] = plan
-    return plan

@@ -6,7 +6,9 @@ one directory (file names sort chronologically; the in-repo seed
 summary with a baseline per benchmark on the primary throughput metric
 (work units per wall-second, higher is better) and classifies each as
 ``ok`` / ``regression`` / ``improvement`` / ``new`` / ``missing`` /
-``error``.
+``error``.  Only the benchmarks the current run selected are compared:
+a baseline entry outside the selection (filtered out by ``--only``, or
+retired from the registry) is not ``missing``.
 
 The significance threshold is MAD-scaled: a change only counts when it
 exceeds *both* a relative floor (``rel_tolerance``, absorbing run-to-run
@@ -19,6 +21,7 @@ the two samples (1.4826 · MAD estimates σ for Gaussian noise).  Under
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -90,13 +93,22 @@ def _throughput(entry: dict[str, Any]) -> tuple[float, float] | None:
 
 def compare(current: dict[str, Any], baseline: dict[str, Any], *,
             rel_tolerance: float = 0.25,
-            mad_scale: float = 4.0) -> list[Delta]:
+            mad_scale: float = 4.0,
+            selected: Iterable[str] | None = None) -> list[Delta]:
     """Per-benchmark deltas of *current* against *baseline*, sorted by
-    name.  See the module docstring for the significance rule."""
+    name.  See the module docstring for the significance rule.
+
+    *selected* names the benchmarks the current run chose to measure;
+    baseline-only entries outside it are skipped.  ``None`` compares
+    every name in either artifact.
+    """
     cur = current.get("benchmarks", {})
     base = baseline.get("benchmarks", {})
+    names = set(cur) | set(base)
+    if selected is not None:
+        names &= set(selected)
     deltas = []
-    for name in sorted(set(cur) | set(base)):
+    for name in sorted(names):
         c_entry, b_entry = cur.get(name), base.get(name)
         if c_entry is not None and "error" in c_entry:
             deltas.append(Delta(name, ERROR, detail=c_entry["error"]))

@@ -213,44 +213,6 @@ class IssueSlots:
         self._used = 1
         return float(self._cycle)
 
-    def allocate_many(self, earliest: float, count: int) -> "np.ndarray":
-        """Reserve *count* slots at or after *earliest* in one call.
-
-        Exactly equivalent to *count* sequential :meth:`allocate` calls
-        with the same *earliest* (the SoA lane engine's usage pattern),
-        but computed in closed form: the first slots fill the remaining
-        width of the cycle containing *earliest*, then whole groups of
-        ``width`` land on each subsequent integer cycle.
-        """
-        import numpy as np
-
-        out = np.empty(count, dtype=np.float64)
-        if count == 0:
-            return out
-        if earliest < self._cycle:
-            earliest = float(self._cycle)
-        cycle = math.floor(earliest)
-        if cycle > self._cycle:
-            # A fresh cycle: the full width issues at *earliest*.
-            head = min(self.width, count)
-            self._cycle = cycle
-            self._used = head
-        else:
-            # Fill what is left of the current cycle.
-            cycle = self._cycle
-            head = min(self.width - self._used, count)
-            self._used += head
-        out[:head] = earliest
-        rest = count - head
-        if rest == 0:
-            return out
-        groups = -(-rest // self.width)
-        out[head:] = np.repeat(np.arange(cycle + 1, cycle + 1 + groups,
-                                         dtype=np.float64), self.width)[:rest]
-        self._cycle = cycle + groups
-        self._used = rest - (groups - 1) * self.width
-        return out
-
     def peek(self, earliest: float) -> float:
         """Issue time :meth:`allocate` would return, without reserving."""
         if earliest < self._cycle:

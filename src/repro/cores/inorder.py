@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.branch.predictor import HybridBranchPredictor
 from repro.cores.base import (
     LEVEL_STALL_INDEX,
@@ -84,22 +82,6 @@ class InOrderCore:
         if time + 1.0 > self.stats.end_cycle:
             self.stats.end_cycle = time + 1.0
         return time
-
-    def issue_transient_many(self, earliest: float, count: int) -> np.ndarray:
-        """Reserve *count* SVI issue slots in one call (SoA lane engine).
-
-        Returns the slot times as a float64 vector.  Equivalent to
-        *count* :meth:`issue_transient` calls with the same *earliest*
-        (:meth:`IssueSlots.allocate_many` is closed-form but exact), and
-        the returned sequence is non-decreasing, so one end-of-loop
-        ``end_cycle`` update matches the scalar path's per-call updates.
-        """
-        out = self.slots.allocate_many(earliest, count)
-        if count:
-            last = out[count - 1] + 1.0
-            if last > self.stats.end_cycle:
-                self.stats.end_cycle = last
-        return out
 
     def now(self) -> float:
         return float(self.slots.current_cycle)

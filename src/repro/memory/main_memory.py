@@ -42,7 +42,7 @@ class MainMemory:
 
     @property
     def words(self) -> np.ndarray:
-        """The backing word array (uint64), for vectorized lane gathers.
+        """The backing word array (uint64), for whole-image comparisons.
 
         Treat as read-only: writes must go through :meth:`write_word` /
         :meth:`write_array` so wrapping stays uniform.

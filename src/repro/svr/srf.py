@@ -1,4 +1,4 @@
-"""Speculative register file (Section IV-A3) — numpy structure-of-arrays.
+"""Speculative register file (Section IV-A3).
 
 K wide registers, each holding N 64-bit lanes with per-lane value and
 ready-time (the scoreboard return-counter of Section IV-A4 collapses to
@@ -7,48 +7,19 @@ deliberately under-provisioned; when they run out SVR recycles the entry
 backing the least-recently-read architectural register, while the DVR
 ablation policy refuses and simply stops vectorizing new values.
 
-Lane state is stored column-major across entries as three dense arrays —
-``values`` ``uint64[K, N]``, ``ready`` ``float64[K, N]``, ``valid``
-``bool[K, N]`` — so the batched lane engine (:mod:`repro.svr.lanes`) can
-read and write whole lane vectors with one fancy-indexed numpy op while
-the scalar fallback keeps the original per-lane ``read_lane`` /
-``write_lane`` API on top of the same storage.  Releasing an entry (one
-or all) invalidates its lanes: a reused entry can never leak a stale
-``valid=True`` lane from a previous mapping.
+Lane state is one plain list per entry: ``values[srf_id][lane]``,
+``ready[srf_id][lane]`` and ``valid[srf_id][lane]``, plus the owning
+architectural register in ``owners[srf_id]`` (-1 when free).  The SVR
+unit reads and writes one lane at a time, as the hardware issues one
+scalar copy per lane.  Releasing an entry (one or all) invalidates its
+lanes: a reused entry can never leak a stale ``valid=True`` lane from a
+previous mapping.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.svr.config import RecyclingPolicy
 from repro.svr.taint_tracker import TaintTracker
-
-
-class SrfEntryView:
-    """Read/write view of one SRF entry's lane arrays (numpy slices)."""
-
-    __slots__ = ("_srf", "_srf_id")
-
-    def __init__(self, srf: "SpeculativeRegisterFile", srf_id: int) -> None:
-        self._srf = srf
-        self._srf_id = srf_id
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._srf.values[self._srf_id]
-
-    @property
-    def ready(self) -> np.ndarray:
-        return self._srf.ready[self._srf_id]
-
-    @property
-    def valid(self) -> np.ndarray:
-        return self._srf.valid[self._srf_id]
-
-    @property
-    def owner(self) -> int:
-        return int(self._srf.owners[self._srf_id])
 
 
 class SpeculativeRegisterFile:
@@ -58,12 +29,10 @@ class SpeculativeRegisterFile:
                  policy: RecyclingPolicy = RecyclingPolicy.LRU) -> None:
         self._lanes = lanes
         self._policy = policy
-        # Structure-of-arrays lane state, shared by the scalar and the
-        # batched (SoA) execution paths.
-        self.values = np.zeros((entries, lanes), dtype=np.uint64)
-        self.ready = np.zeros((entries, lanes), dtype=np.float64)
-        self.valid = np.zeros((entries, lanes), dtype=bool)
-        self.owners = np.full(entries, -1, dtype=np.int64)
+        self.values = [[0] * lanes for _ in range(entries)]
+        self.ready = [[0.0] * lanes for _ in range(entries)]
+        self.valid = [[False] * lanes for _ in range(entries)]
+        self.owners = [-1] * entries
         self._free = list(range(entries))
         self.allocations = 0
         self.recycles = 0
@@ -75,15 +44,13 @@ class SpeculativeRegisterFile:
 
     @property
     def num_entries(self) -> int:
-        return self.values.shape[0]
-
-    def entry(self, srf_id: int) -> SrfEntryView:
-        return SrfEntryView(self, srf_id)
+        return len(self.owners)
 
     def _reset_entry(self, srf_id: int, owner: int) -> None:
-        self.values[srf_id].fill(0)
-        self.ready[srf_id].fill(0.0)
-        self.valid[srf_id].fill(False)
+        lanes = self._lanes
+        self.values[srf_id] = [0] * lanes
+        self.ready[srf_id] = [0.0] * lanes
+        self.valid[srf_id] = [False] * lanes
         self.owners[srf_id] = owner
 
     def allocate(self, reg: int, taint: TaintTracker) -> int | None:
@@ -118,42 +85,24 @@ class SpeculativeRegisterFile:
 
     def release(self, srf_id: int) -> None:
         self.owners[srf_id] = -1
-        self.valid[srf_id].fill(False)
+        self.valid[srf_id] = [False] * self._lanes
         if srf_id not in self._free:
             self._free.append(srf_id)
 
     def release_all(self) -> None:
-        self.owners.fill(-1)
+        entries = self.num_entries
+        self.owners = [-1] * entries
         # Invalidate every lane: a reused entry must never expose a stale
         # valid=True lane if any read bypasses the allocate-time reset.
-        self.valid.fill(False)
-        self._free = list(range(self.num_entries))
-
-    # -- scalar per-lane access (fallback path) -----------------------------
+        self.valid = [[False] * self._lanes for _ in range(entries)]
+        self._free = list(range(entries))
 
     def write_lane(self, srf_id: int, lane: int, value: int,
                    ready: float) -> None:
-        self.values[srf_id, lane] = value
-        self.ready[srf_id, lane] = ready
-        self.valid[srf_id, lane] = True
+        self.values[srf_id][lane] = value
+        self.ready[srf_id][lane] = ready
+        self.valid[srf_id][lane] = True
 
     def read_lane(self, srf_id: int, lane: int) -> tuple[int, float, bool]:
-        return (self.values.item(srf_id * self._lanes + lane),
-                self.ready.item(srf_id * self._lanes + lane),
-                self.valid.item(srf_id * self._lanes + lane))
-
-    # -- batched lane access (SoA path) -------------------------------------
-
-    def write_lanes(self, srf_id: int, lanes: np.ndarray, values: np.ndarray,
-                    ready: np.ndarray) -> None:
-        """Write a lane vector in one shot (lanes is an index array)."""
-        self.values[srf_id, lanes] = values
-        self.ready[srf_id, lanes] = ready
-        self.valid[srf_id, lanes] = True
-
-    def read_lanes(self, srf_id: int,
-                   lanes: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                               np.ndarray]:
-        """Values, ready times and valid bits for a lane-index vector."""
-        return (self.values[srf_id, lanes], self.ready[srf_id, lanes],
-                self.valid[srf_id, lanes])
+        return (self.values[srf_id][lane], self.ready[srf_id][lane],
+                self.valid[srf_id][lane])

@@ -43,15 +43,6 @@ class StrideEntry:
     tournament: int = 1                # 2-bit chooser (MSB: use LBD)
     last_ewma_pred: int | None = None
     last_lbd_pred: int | None = None
-    # Cached vectorization-legality verdict for this seed pc, resolved
-    # lazily by the SVR unit from the program's VectorizationPlan on the
-    # first PRM round it anchors (repro.analysis.vectorplan).  Hardware
-    # analogue: the reference prediction table carries the per-seed
-    # batching verdict the compiler/plan pinned, so round dispatch is one
-    # table read instead of a plan walk.  Evicted entries re-resolve.
-    plan_resolved: bool = False
-    batchable: bool = False            # verdict allows the SoA fast path
-    scalar_fallback_pcs: frozenset = frozenset()  # guard-fired pcs
 
 
 class StrideDetector:

@@ -10,6 +10,12 @@ The cells cover every core path: the in-order core bare, with SVR at two
 vector lengths and with IMP; the OoO core bare and with Vector Runahead;
 on a GAP kernel, an HPC kernel and two SPEC surrogates (one cached
 gather, one load/store copy).
+
+``SVR_VARIANT_FINGERPRINTS`` pins the SVR unit's non-default slot and
+lane-state paths: several lanes per execute slot (Fig 16), the decoupled
+issue context (Section VI-D), SRF exhaustion under DVR recycling, and
+the widest vector length.  They were recorded before the SVR unit was
+reduced to its single per-lane engine.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import json
 
 import pytest
 
-from repro.harness.runner import run
+from repro.harness.runner import run, technique
+from repro.svr.config import RecyclingPolicy
 
 FINGERPRINTS = {
     ("PR_KR", "inorder"): "dc4ee20f74b0e5b7ed124b52e5277038be203a6250a6ac66bc792cd50c1247f6",
@@ -36,14 +43,37 @@ FINGERPRINTS = {
     ("lbm", "vr"): "f62b7b5ea67cdc35c63253bd9754f6d3b193aed0cc067494504ea0cac0dfb060",
 }
 
+# (workload, technique, SVR overrides) -> digest.
+SVR_VARIANT_FINGERPRINTS = {
+    ("Camel", "svr16", (("scalars_per_unit", 4),)):
+        "05b856a9012fc8f6d15322dce4e6ff3625de540dadfdea9000ae5d124baa9519",
+    ("PR_KR", "svr16", (("decoupled_context", True),)):
+        "8504e8ff6376fd2ee00b4e67d8329c33c9f4d095ea7a76d8a415a08bbd2bedfc",
+    ("HJ8", "svr16", (("recycling", RecyclingPolicy.DVR),
+                      ("srf_entries", 2))):
+        "a9a28ca78221e7538744c2e775bd4baec972a04cf40531d63b4f5ee3d233c62e",
+    ("Kangr", "svr128", ()):
+        "aab215958ee123204d980dde3216dd9ed95ed61a9e5ddcbdcec8ba6533b98f57",
+}
 
-def fingerprint(workload: str, technique: str) -> str:
-    result = run(workload, technique, scale="tiny")
+
+def fingerprint(workload: str, tech_name: str, **svr_overrides) -> str:
+    result = run(workload, technique(tech_name, **svr_overrides),
+                 scale="tiny")
     payload = json.dumps(result.to_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("workload,technique", sorted(FINGERPRINTS))
-def test_simulated_output_is_pinned(workload, technique):
-    assert fingerprint(workload, technique) == \
-        FINGERPRINTS[workload, technique]
+@pytest.mark.parametrize("workload,tech_name", sorted(FINGERPRINTS))
+def test_simulated_output_is_pinned(workload, tech_name):
+    assert fingerprint(workload, tech_name) == \
+        FINGERPRINTS[workload, tech_name]
+
+
+@pytest.mark.parametrize(
+    "workload,tech_name,overrides", list(SVR_VARIANT_FINGERPRINTS),
+    ids=lambda v: v if isinstance(v, str)
+    else ",".join(f"{k}={getattr(x, 'name', x)}" for k, x in v) or "default")
+def test_svr_variant_output_is_pinned(workload, tech_name, overrides):
+    assert fingerprint(workload, tech_name, **dict(overrides)) == \
+        SVR_VARIANT_FINGERPRINTS[workload, tech_name, overrides]

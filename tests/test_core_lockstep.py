@@ -33,7 +33,7 @@ from conftest import make_inorder, make_ooo
 
 # The tiny-scale window (warm-up plus measured instructions).
 BUDGET = 5_000
-TECHNIQUES = ("inorder", "ooo", "svr16", "vr")
+TECHNIQUES = ("inorder", "ooo", "svr16", "svr64", "vr")
 
 
 def build_core(workload, tech_name: str):

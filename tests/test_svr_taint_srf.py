@@ -144,3 +144,36 @@ class TestSrfLanes:
     def test_lane_count_property(self):
         srf = SpeculativeRegisterFile(entries=2, lanes=16)
         assert srf.lanes == 16 and srf.num_entries == 2
+
+
+class TestReleaseAllValidBitsRegression:
+    """Bug pin: ``release_all`` must invalidate every lane."""
+
+    def test_release_all_clears_valid_bits(self):
+        srf = SpeculativeRegisterFile(4, 16, RecyclingPolicy.LRU)
+        taint = TaintTracker()
+        srf_id = srf.allocate(3, taint)
+        srf.write_lane(srf_id, 0, 7, 1.0)
+        srf.write_lane(srf_id, 5, 9, 2.0)
+        srf.release_all()
+        assert not any(any(lanes) for lanes in srf.valid)
+
+    def test_release_single_clears_valid_bits(self):
+        srf = SpeculativeRegisterFile(4, 16, RecyclingPolicy.LRU)
+        taint = TaintTracker()
+        srf_id = srf.allocate(3, taint)
+        srf.write_lane(srf_id, 2, 7, 1.0)
+        srf.release(srf_id)
+        assert not any(srf.valid[srf_id])
+
+    def test_reused_entry_never_exposes_stale_lane(self):
+        srf = SpeculativeRegisterFile(1, 8, RecyclingPolicy.LRU)
+        taint = TaintTracker()
+        first = srf.allocate(3, taint)
+        taint.map(3, first, 0)
+        srf.write_lane(first, 4, 0xDEAD, 1.0)
+        srf.release_all()
+        taint.clear()
+        second = srf.allocate(9, taint)
+        _, _, valid = srf.read_lane(second, 4)
+        assert not valid

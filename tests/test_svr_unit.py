@@ -2,16 +2,21 @@
 
 These exercise the mechanisms of Section IV end to end on small kernels:
 triggering, dependent-chain prefetching, waiting mode, timeout, control-flow
-masking, multi-chain handling, the accuracy gate and the ablation knobs.
+masking, multi-chain handling, the accuracy gate and the ablation knobs,
+plus regression pins for two lane-state bugs: an unmasked invalid
+store-source lane and an SRF-exhaustion taint that kept a stale mapping.
 """
 
 import numpy as np
 import pytest
 
 from repro.cores.functional import FunctionalCore
+from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import ProgramBuilder
 from repro.svr.config import LoopBoundPolicy, RecyclingPolicy, SVRConfig
 from repro.svr.overhead import overhead_kib
+from repro.svr.stride_detector import StrideEntry
+from repro.svr.taint_tracker import TaintTracker
 
 from conftest import build_gather_workload, make_inorder, make_memory
 
@@ -439,3 +444,95 @@ class TestAblationKnobs:
         from repro.svr.unit import ScalarVectorUnit
         unit = ScalarVectorUnit(SVRConfig(vector_length=16, srf_entries=8))
         assert unit.state_kib == pytest.approx(overhead_kib(16, 8))
+
+
+class TestStoreLaneMaskingRegression:
+    """Bug pin: an invalid store-source lane must be masked and counted.
+
+    Before the fix, ``_generate_dependent_store`` skipped invalid source
+    lanes with a bare ``continue`` — the lane kept issuing SVIs for the
+    rest of the round even though its chain values were garbage.
+    """
+
+    def _prm_unit(self):
+        program, memory = build_gather_workload(count=32)
+        core, _, unit = make_inorder(program, memory, svr=SVRConfig())
+        unit.in_prm = True
+        unit.mask = [True] * unit.config.vector_length
+        return unit
+
+    def test_invalid_source_lane_is_masked_and_counted(self):
+        unit = self._prm_unit()
+        srf_id = unit.srf.allocate(5, unit.taint)
+        unit.taint.map(5, srf_id, 0)
+        for lane in range(8):      # lanes 8..15 stay invalid
+            unit.srf.write_lane(srf_id, lane, 0x2_0000 + 8 * lane, 0.0)
+        store = Instruction(Opcode.ST, rs1=5, rs2=6)
+        unit._generate_dependent_store(0, store, issue_time=0.0)
+        assert all(unit.mask[:8])
+        assert not any(unit.mask[8:])
+        assert unit.stats.masked_lanes == 8
+
+    def test_masked_store_lane_stays_dead_for_later_svis(self):
+        unit = self._prm_unit()
+        srf_id = unit.srf.allocate(5, unit.taint)
+        unit.taint.map(5, srf_id, 0)
+        unit.srf.write_lane(srf_id, 0, 0x2_0000, 0.0)   # only lane 0 valid
+        store = Instruction(Opcode.ST, rs1=5, rs2=6)
+        unit._generate_dependent_store(0, store, issue_time=0.0)
+        assert unit._active_lanes() == [0]
+
+
+class TestSrfExhaustionTaintRegression:
+    """Bug pin: allocation failure must leave the register *unmapped*.
+
+    Before the fix the stride-SVI path set ``tainted = True`` but left a
+    stale ``mapped`` / ``srf_id`` from a previous mapping, so consumers
+    could read a recycled SRF vector belonging to another register.
+    """
+
+    def _exhausted_unit(self):
+        program, memory = build_gather_workload(count=32)
+        core, _, unit = make_inorder(
+            program, memory,
+            svr=SVRConfig(srf_entries=1, recycling=RecyclingPolicy.DVR))
+        unit.in_prm = True
+        unit.mask = [True] * unit.config.vector_length
+        srf_id = unit.srf.allocate(1, unit.taint)
+        unit.taint.map(1, srf_id, 0)   # the single entry is now live
+        return unit
+
+    def test_stride_path_taints_without_mapping(self):
+        unit = self._exhausted_unit()
+        # Leave register 2 with a stale mapping record, as a recycled
+        # register would have.
+        unit.taint.map(2, 0, 0)
+        unit.taint.unmap(2)
+        entry = StrideEntry(pc=4, prev_addr=0x2_0000, stride=8, confidence=3)
+        load = Instruction(Opcode.LD, rd=2, rs1=3)
+        unit._generate_stride_svis(entry, load, 0x2_0000, 0.0,
+                                   shared_mask=False, length=4)
+        tentry = unit.taint.entry(2)
+        assert tentry.tainted
+        assert not tentry.mapped
+        assert tentry.srf_id == -1
+        assert not unit.taint.is_vectorizable(2)
+
+    def test_dependent_path_taints_without_mapping(self):
+        unit = self._exhausted_unit()
+        unit._write_dest_lanes(2, [(0, 7, 1.0)])
+        tentry = unit.taint.entry(2)
+        assert tentry.tainted
+        assert not tentry.mapped
+        assert tentry.srf_id == -1
+
+    def test_taint_unmapped_helper_contract(self):
+        taint = TaintTracker()
+        taint.map(3, srf_id=2, offset=0)
+        taint.taint_unmapped(3)
+        entry = taint.entry(3)
+        assert entry.tainted
+        assert not entry.mapped
+        assert entry.srf_id == -1
+        assert taint.is_tainted(3)
+        assert not taint.is_vectorizable(3)
